@@ -33,6 +33,36 @@ fn bench_engine(h: &mut Harness) {
         eng.run_until(&mut w, SimTime(u64::MAX - 1));
         black_box(w)
     });
+
+    // The classic hold model at scale10k's queue depth (about 300k events
+    // outstanding): every pop schedules one replacement a random delay
+    // ahead, so the backlog stays constant and every pop sifts through the
+    // full depth of the heap. One iteration is 1,000 holds.
+    struct Hold {
+        rng: SimRng,
+        holds: u64,
+    }
+    fn hold(w: &mut Hold, e: &mut Engine<Hold>) {
+        w.holds += 1;
+        let delay = w.rng.duration_between(Duration::ZERO, Duration::DAY * 200);
+        e.schedule_in(delay, hold);
+        if w.holds.is_multiple_of(1_000) {
+            e.request_stop();
+        }
+    }
+    let mut w = Hold {
+        rng: SimRng::seed_from_u64(4),
+        holds: 0,
+    };
+    let mut eng: Engine<Hold> = Engine::with_capacity(300_000);
+    for _ in 0..300_000 {
+        let at = SimTime::ZERO + w.rng.duration_between(Duration::ZERO, Duration::DAY * 200);
+        eng.schedule_at(at, hold);
+    }
+    h.bench("engine/hold 300k backlog", move || {
+        eng.run_until(&mut w, SimTime(u64::MAX - 1));
+        black_box(w.holds)
+    });
 }
 
 fn bench_rng(h: &mut Harness) {

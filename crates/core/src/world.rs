@@ -16,7 +16,7 @@
 use lockss_effort::{CostModel, CostTable, Purpose};
 use lockss_metrics::RunMetrics;
 use lockss_net::{Network, NodeId};
-use lockss_sim::{Duration, Engine, SimRng, SimTime};
+use lockss_sim::{Duration, Engine, SimRng, SimTime, Slab};
 use lockss_storage::{AuId, DamageProcess};
 
 use lockss_obs::{SharedProfiler, Span};
@@ -97,11 +97,17 @@ pub struct World {
     compromise: CompromiseStats,
     next_poll_id: u64,
     n_loyal: usize,
-    /// Network node → loyal peer index (nodes absent here belong to the
-    /// adversary). Lookup-only, so hashing order cannot leak into runs;
-    /// probed on every message delivery, hence the fast hasher.
-    node_to_peer: lockss_sim::FxHashMap<NodeId, usize>,
+    /// Network node index → loyal peer index; [`NOT_LOYAL`] marks adversary
+    /// nodes. Probed on every message delivery and ack.
+    node_to_peer: Vec<u32>,
+    /// Messages in flight as `(from, to, message)`, parked here so that the
+    /// delivery event captures only the slot index and fits the engine's
+    /// inline closure slot instead of paying a `Box` per message.
+    in_flight: Slab<(NodeId, NodeId, Message)>,
 }
+
+/// [`World::node_to_peer`] entry of a node that hosts no loyal peer.
+const NOT_LOYAL: u32 = u32::MAX;
 
 impl World {
     /// Builds the world: loyal peers with sampled links, pristine replicas,
@@ -150,7 +156,10 @@ impl World {
         }
 
         let metrics = RunMetrics::new(cfg.total_replicas(), SimTime::ZERO);
-        let node_to_peer = nodes.iter().enumerate().map(|(i, n)| (*n, i)).collect();
+        let mut node_to_peer = vec![NOT_LOYAL; net.len()];
+        for (i, n) in nodes.iter().enumerate() {
+            node_to_peer[n.index()] = i as u32;
+        }
         World {
             costs: cfg.cost.table(),
             cfg,
@@ -167,6 +176,7 @@ impl World {
             next_poll_id: 0,
             n_loyal: nodes.len(),
             node_to_peer,
+            in_flight: Slab::default(),
         }
     }
 
@@ -178,27 +188,32 @@ impl World {
     /// Registers a late-joining loyal peer's node (see `churn`).
     pub(crate) fn bump_loyal_count(&mut self) {
         let index = self.peers.len() - 1;
-        let node = self.peers.node(index);
-        self.node_to_peer.insert(node, index);
+        self.node_to_peer.resize(self.net.len(), NOT_LOYAL);
+        self.node_to_peer[self.peers.node(index).index()] = index as u32;
         self.n_loyal += 1;
     }
 
     /// The loyal peer living on `node`, if any.
     pub fn loyal_peer_of_node(&self, node: NodeId) -> Option<usize> {
-        self.node_to_peer.get(&node).copied()
+        match self.node_to_peer.get(node.index()) {
+            Some(&p) if p != NOT_LOYAL => Some(p as usize),
+            _ => None,
+        }
     }
 
     /// Adds `n` adversary minion nodes (well-connected: 100 Mbps, 5 ms)
     /// and returns their ids.
     pub fn add_minions(&mut self, n: usize) -> Vec<NodeId> {
-        (0..n)
+        let minions = (0..n)
             .map(|_| {
                 self.net.add_node(lockss_net::LinkSpec {
                     bandwidth_bps: 100_000_000,
                     latency: Duration::from_millis(5),
                 })
             })
-            .collect()
+            .collect();
+        self.node_to_peer.resize(self.net.len(), NOT_LOYAL);
+        minions
     }
 
     /// Installs an attack strategy (call before [`World::start`]).
@@ -511,7 +526,9 @@ impl World {
         match delay {
             None => false,
             Some(delay) => {
+                let parcel = self.in_flight.insert((from, to, msg));
                 eng.schedule_in(delay, move |w: &mut World, e| {
+                    let (from, to, msg) = w.in_flight.take(parcel);
                     if !w.net.reachable(from, to) {
                         return; // killed mid-flight by pipe stoppage
                     }
@@ -1851,7 +1868,18 @@ mod tests {
         assert_eq!(minions.len(), 3);
         for m in &minions {
             assert!(m.index() >= world.n_loyal());
+            assert_eq!(world.loyal_peer_of_node(*m), None);
         }
+        for p in 0..world.n_loyal() {
+            assert_eq!(world.loyal_peer_of_node(world.peers.node(p)), Some(p));
+        }
+        // A peer joining after the minions maps past them.
+        let joined = world.join_loyal_peer(&mut Eng::new());
+        assert_eq!(
+            world.loyal_peer_of_node(world.peers.node(joined)),
+            Some(joined)
+        );
+        assert_eq!(world.loyal_peer_of_node(NodeId(1 << 30)), None);
         let a = world.alloc_poll_id();
         let b = world.alloc_poll_id();
         assert_ne!(a, b);

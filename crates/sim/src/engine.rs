@@ -7,23 +7,32 @@
 //!
 //! # Storage
 //!
-//! The priority queue itself holds only plain `(time, seq, slot)` keys; the
-//! closures live in a slab-backed arena (`EventArena`) whose slots are
-//! recycled through a free list as events execute. Closures at most
-//! `INLINE_BYTES` (32) bytes — the protocol's common captures — are stored
+//! The priority queue is a 4-ary min-heap (`EventQueue`) of packed
+//! 16-byte `u128` keys: the event's time in the high 64 bits, its schedule
+//! sequence number in the next 36, and its arena slot in the low 28. Since
+//! sequence numbers are unique, comparing two keys as integers is exactly
+//! the `(time, seq)` order, and the slot bits never decide it. The heap is
+//! laid out so that the four children of a node fill one 64-byte cache
+//! line: a pop visits one line per level, over half as many levels as a
+//! binary heap.
+//!
+//! The closures live in a [`Slab`] arena whose slots are recycled as
+//! events execute. Closures at most `INLINE_BYTES` (32) bytes are stored
 //! *inline* in their slot, so the steady state allocates nothing per
-//! event: no `Box` per closure, and no heap churn in the `BinaryHeap`
-//! beyond its amortized growth. Oversized closures transparently fall back
-//! to a boxed representation. The `(time, seq)` total order is bitwise
-//! identical to the boxed implementation this replaced, which is what keeps
-//! recorded traces replayable across the change.
+//! event. Callers keep their captures small — the protocol layer parks a
+//! message's payload in a world-owned slab and captures only its index —
+//! and oversized closures transparently fall back to a boxed
+//! representation.
+//!
+//! The packing sets two limits, each enforced by an `assert!` that names
+//! it: at most 2^36 (6.9e10) events scheduled over an engine's life, and
+//! at most 2^28 (268M) events outstanding at once.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::mem::{self, MaybeUninit};
 
 use lockss_obs::{Counter, Gauge, RegistryBuilder};
 
+use crate::slab::Slab;
 use crate::time::{Duration, SimTime};
 
 /// Pre-registered metric handles for one engine (see `lockss-obs`).
@@ -75,10 +84,9 @@ pub type EventFn<W> = Box<dyn FnOnce(&mut W, &mut Engine<W>)>;
 
 /// Inline storage per arena slot. Sized for the protocol layer's common
 /// captures — a few ids and indices — while keeping a slot at one cache
-/// line, so scheduling moves at most 48 bytes. Rare fat closures (message
-/// deliveries capturing a whole `Message`) take the boxed fallback, which
-/// is exactly what the previous all-boxed representation paid for *every*
-/// event.
+/// line, so scheduling moves at most 48 bytes. Fatter closures take the
+/// boxed fallback, a malloc and a free per event; the protocol layer keeps
+/// every closure it schedules under this size.
 const INLINE_BYTES: usize = 32;
 
 /// Maximum supported alignment for inline closures; larger-aligned ones are
@@ -193,67 +201,115 @@ impl<W> Drop for EventCell<W> {
     }
 }
 
-/// Slab of event cells with free-list slot reuse.
-struct EventArena<W> {
-    slots: Vec<Option<EventCell<W>>>,
-    free: Vec<u32>,
+/// Bits of a queue key holding the arena slot.
+const SLOT_BITS: u32 = 28;
+/// Bits of a queue key holding the schedule sequence number.
+const SEQ_BITS: u32 = 36;
+/// Events outstanding at once are limited to this many arena slots.
+const SLOT_LIMIT: u64 = 1 << SLOT_BITS;
+/// Events scheduled over an engine's life are limited to this many.
+const SEQ_LIMIT: u64 = 1 << SEQ_BITS;
+
+/// Packs `(at, seq, slot)` so that integer order is `(at, seq)` order.
+fn pack(at: SimTime, seq: u64, slot: u32) -> u128 {
+    ((at.0 as u128) << 64) | ((seq as u128) << SLOT_BITS) | slot as u128
 }
 
-impl<W> EventArena<W> {
-    fn with_capacity(n: usize) -> EventArena<W> {
-        EventArena {
-            slots: Vec::with_capacity(n),
-            free: Vec::new(),
+/// The time of a packed key.
+fn key_at(key: u128) -> SimTime {
+    SimTime((key >> 64) as u64)
+}
+
+/// The arena slot of a packed key.
+fn key_slot(key: u128) -> u32 {
+    (key as u32) & (SLOT_LIMIT as u32 - 1)
+}
+
+/// Four heap keys on one 64-byte cache line.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct Line([u128; 4]);
+
+/// Filler for line positions that hold no key; compares above every key.
+const EMPTY: Line = Line([u128::MAX; 4]);
+
+/// A 4-ary min-heap of packed keys.
+///
+/// Heap node `h` is stored at position `h + 3` of the flattened lines, so
+/// the root sits in the last lane of line 0 and the children of node `h`
+/// (nodes `4h + 1 ..= 4h + 4`) are exactly line `h + 1`. Positions past
+/// the last key hold `u128::MAX`, which lets sift-down take the minimum of
+/// a whole line without counting how many children exist.
+struct EventQueue {
+    lines: Vec<Line>,
+    len: usize,
+}
+
+impl EventQueue {
+    fn with_capacity(keys: usize) -> EventQueue {
+        EventQueue {
+            lines: Vec::with_capacity(keys.div_ceil(4) + 1),
+            len: 0,
         }
     }
 
-    fn insert(&mut self, cell: EventCell<W>) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(cell);
-                i
-            }
-            None => {
-                let i = u32::try_from(self.slots.len()).expect("under 4G outstanding events");
-                self.slots.push(Some(cell));
-                i
-            }
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn get(&self, h: usize) -> u128 {
+        self.lines[(h + 3) >> 2].0[(h + 3) & 3]
+    }
+
+    fn set(&mut self, h: usize, key: u128) {
+        self.lines[(h + 3) >> 2].0[(h + 3) & 3] = key;
+    }
+
+    /// The smallest key, if any.
+    fn peek(&self) -> Option<u128> {
+        (self.len > 0).then(|| self.get(0))
+    }
+
+    fn push(&mut self, key: u128) {
+        let mut h = self.len;
+        if (h + 3) >> 2 == self.lines.len() {
+            self.lines.push(EMPTY);
         }
+        self.len += 1;
+        while h > 0 {
+            let parent = (h - 1) >> 2;
+            let p = self.get(parent);
+            if p < key {
+                break;
+            }
+            self.set(h, p);
+            h = parent;
+        }
+        self.set(h, key);
     }
 
-    fn take(&mut self, slot: u32) -> EventCell<W> {
-        let cell = self.slots[slot as usize].take().expect("live event slot");
-        self.free.push(slot);
-        cell
-    }
-}
-
-/// Heap key for one scheduled event; the closure lives in the arena.
-struct HeapKey {
-    at: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl PartialEq for HeapKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapKey {}
-impl PartialOrd for HeapKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops
-        // first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+    /// Removes and returns the smallest key.
+    fn pop(&mut self) -> Option<u128> {
+        let top = self.peek()?;
+        self.len -= 1;
+        let last = self.get(self.len);
+        self.set(self.len, u128::MAX);
+        if self.len == 0 {
+            return Some(top);
+        }
+        let mut h = 0;
+        while let Some(Line(c)) = self.lines.get(h + 1) {
+            let (i01, m01) = if c[1] < c[0] { (1, c[1]) } else { (0, c[0]) };
+            let (i23, m23) = if c[3] < c[2] { (3, c[3]) } else { (2, c[2]) };
+            let (i, m) = if m23 < m01 { (i23, m23) } else { (i01, m01) };
+            if m >= last {
+                break;
+            }
+            self.set(h, m);
+            h = 4 * h + 1 + i;
+        }
+        self.set(h, last);
+        Some(top)
     }
 }
 
@@ -276,8 +332,8 @@ pub struct Engine<W> {
     now: SimTime,
     seq: u64,
     executed: u64,
-    queue: BinaryHeap<HeapKey>,
-    arena: EventArena<W>,
+    queue: EventQueue,
+    arena: Slab<EventCell<W>>,
     /// Hard stop; events scheduled past this instant are silently dropped at
     /// pop time (they stay queued but never run).
     horizon: Option<SimTime>,
@@ -307,15 +363,15 @@ impl<W> Engine<W> {
     /// Purely a performance knob for large-population worlds: a 10k+-peer
     /// world schedules tens of thousands of first-poll and damage events
     /// before the run starts, and pre-sizing avoids the doubling cascade on
-    /// both the binary heap and the slot slab. Behaviour is identical to
+    /// both the 4-ary key heap and the slot slab. Behaviour is identical to
     /// [`Engine::new`].
     pub fn with_capacity(events: usize) -> Self {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
             executed: 0,
-            queue: BinaryHeap::with_capacity(events),
-            arena: EventArena::with_capacity(events),
+            queue: EventQueue::with_capacity(events),
+            arena: Slab::with_capacity(events),
             horizon: None,
             stop_requested: false,
             obs: None,
@@ -348,8 +404,7 @@ impl<W> Engine<W> {
     /// high-water mark of simultaneously outstanding events (slots are
     /// recycled, never shrunk), which is what a memory report wants.
     pub fn arena_occupancy(&self) -> (usize, usize) {
-        let total = self.arena.slots.len();
-        (total - self.arena.free.len(), total)
+        (self.arena.live(), self.arena.total())
     }
 
     /// Number of events executed so far.
@@ -394,9 +449,17 @@ impl<W> Engine<W> {
     {
         let at = at.max(self.now);
         let seq = self.seq;
+        assert!(
+            seq < SEQ_LIMIT,
+            "event seq limit: at most 2^36 (6.9e10) events may be scheduled per engine"
+        );
         self.seq += 1;
         let slot = self.arena.insert(EventCell::new(f));
-        self.queue.push(HeapKey { at, seq, slot });
+        assert!(
+            u64::from(slot) < SLOT_LIMIT,
+            "event slot limit: at most 2^28 (268M) events may be outstanding at once"
+        );
+        self.queue.push(pack(at, seq, slot));
     }
 
     /// Schedules `f` to run `delay` after the current instant.
@@ -417,14 +480,14 @@ impl<W> Engine<W> {
         self.stop_requested = false;
         let before = self.executed;
         while let Some(head) = self.queue.peek() {
-            if head.at >= until {
+            if key_at(head) >= until {
                 break;
             }
             let key = self.queue.pop().expect("peeked head exists");
-            debug_assert!(key.at >= self.now, "time must be monotone");
-            self.now = key.at;
+            debug_assert!(key_at(key) >= self.now, "time must be monotone");
+            self.now = key_at(key);
             self.executed += 1;
-            let cell = self.arena.take(key.slot);
+            let cell = self.arena.take(key_slot(key));
             cell.invoke(world, self);
             if self.stop_requested {
                 let ran = self.executed - before;
@@ -444,10 +507,10 @@ impl<W> Engine<W> {
         let before = self.executed;
         self.stop_requested = false;
         while let Some(key) = self.queue.pop() {
-            debug_assert!(key.at >= self.now, "time must be monotone");
-            self.now = key.at;
+            debug_assert!(key_at(key) >= self.now, "time must be monotone");
+            self.now = key_at(key);
             self.executed += 1;
-            let cell = self.arena.take(key.slot);
+            let cell = self.arena.take(key_slot(key));
             cell.invoke(world, self);
             if self.stop_requested {
                 break;
@@ -457,11 +520,21 @@ impl<W> Engine<W> {
         self.publish_obs(ran);
         ran
     }
+
+    /// Starts the schedule sequence at `seq`, so a test can reach the
+    /// sequence limit without scheduling 2^36 events.
+    #[cfg(test)]
+    fn start_seq_at(&mut self, seq: u64) {
+        self.seq = seq;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SimRng;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     #[test]
     fn with_capacity_behaves_like_new() {
@@ -675,5 +748,191 @@ mod tests {
         let mut w = 0u64;
         eng.run_to_exhaustion(&mut w);
         assert_eq!(w, 7 * 64);
+    }
+
+    /// What random-operation event `id` does when it runs: whether it
+    /// requests a stop, and the delay of the child it schedules, if any.
+    /// A pure function of the id, so the engine and the reference model
+    /// agree on it. Children land on an hour grid, so ties are common.
+    fn behaviour(id: u64) -> (bool, Option<Duration>) {
+        let h = SimRng::seed_from_u64(id).u64();
+        let stop = h.is_multiple_of(61);
+        let child = (h >> 8).is_multiple_of(4);
+        (stop, child.then_some(Duration::HOUR * ((h >> 16) % 8)))
+    }
+
+    /// The engine-side world: the ids of executed events, in order, and the
+    /// id the next scheduled event gets (its engine sequence number).
+    #[derive(Default)]
+    struct Log {
+        ran: Vec<u64>,
+        next_id: u64,
+    }
+
+    fn handle(w: &mut Log, e: &mut Engine<Log>, id: u64) {
+        w.ran.push(id);
+        let (stop, child) = behaviour(id);
+        if stop {
+            e.request_stop();
+        }
+        if let Some(delay) = child {
+            let c = w.next_id;
+            w.next_id += 1;
+            e.schedule_in(delay, move |w, e| handle(w, e, c));
+        }
+    }
+
+    /// The reference model of the engine's contract: a binary heap over
+    /// `(time, seq)`, past times clamped to now, horizons exclusive.
+    #[derive(Default)]
+    struct Model {
+        now: SimTime,
+        seq: u64,
+        heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+        ran: Vec<u64>,
+        high_water: usize,
+    }
+
+    impl Model {
+        fn schedule_at(&mut self, at: SimTime) {
+            self.heap.push(Reverse((at.max(self.now), self.seq)));
+            self.seq += 1;
+            self.high_water = self.high_water.max(self.heap.len());
+        }
+
+        /// `run_until(until)`, or `run_to_exhaustion` for `None`.
+        fn run(&mut self, until: Option<SimTime>) {
+            while let Some(&Reverse((at, id))) = self.heap.peek() {
+                if until.is_some_and(|u| at >= u) {
+                    break;
+                }
+                self.heap.pop();
+                self.now = at;
+                self.ran.push(id);
+                let (stop, child) = behaviour(id);
+                if let Some(delay) = child {
+                    self.schedule_at(self.now + delay);
+                }
+                if stop {
+                    return;
+                }
+            }
+            if let Some(u) = until {
+                self.now = self.now.max(u);
+            }
+        }
+    }
+
+    fn schedule_both(eng: &mut Engine<Log>, w: &mut Log, m: &mut Model, at: SimTime) {
+        let id = w.next_id;
+        w.next_id += 1;
+        eng.schedule_at(at, move |w, e| handle(w, e, id));
+        m.schedule_at(at);
+    }
+
+    fn assert_same(eng: &Engine<Log>, w: &Log, m: &Model) {
+        assert_eq!(w.ran, m.ran, "execution order");
+        assert_eq!(eng.executed(), m.ran.len() as u64);
+        assert_eq!(eng.queued(), m.heap.len());
+        assert_eq!(eng.now(), m.now);
+        assert_eq!(eng.arena_occupancy(), (m.heap.len(), m.high_water));
+    }
+
+    /// Runs `ops` seeded random operations against the engine and the
+    /// reference model, after queueing `backlog` far-future events, and
+    /// checks that both agree after every operation and after a full drain.
+    fn check_against_model(seed: u64, ops: usize, backlog: usize) {
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut eng: Engine<Log> = Engine::new();
+        let mut w = Log::default();
+        let mut m = Model::default();
+        for _ in 0..backlog {
+            let at = SimTime::ZERO + Duration::DAY * (1_000 + rng.below(1_000) as u64);
+            schedule_both(&mut eng, &mut w, &mut m, at);
+        }
+        for _ in 0..ops {
+            let now = eng.now();
+            match rng.below(10) {
+                // schedule_at: in the past (clamped), tied on an hour grid,
+                // or anywhere in the next two days.
+                0..=3 => {
+                    let at = match rng.below(3) {
+                        0 => SimTime(now.0.saturating_sub(rng.below(1 << 20) as u64)),
+                        1 => {
+                            SimTime(now.0 / Duration::HOUR.0 * Duration::HOUR.0)
+                                + Duration::HOUR * rng.below(4) as u64
+                        }
+                        _ => now + Duration(rng.below(2 * Duration::DAY.0 as usize) as u64),
+                    };
+                    schedule_both(&mut eng, &mut w, &mut m, at);
+                }
+                4..=5 => {
+                    let delay = Duration::HOUR * rng.below(24) as u64;
+                    let id = w.next_id;
+                    w.next_id += 1;
+                    eng.schedule_in(delay, move |w, e| handle(w, e, id));
+                    m.schedule_at(m.now + delay);
+                }
+                // run_until in day slices, as the runner drives it.
+                6..=8 => {
+                    for _ in 0..=rng.below(3) {
+                        let until = SimTime((eng.now().0 / Duration::DAY.0 + 1) * Duration::DAY.0);
+                        eng.run_until(&mut w, until);
+                        m.run(Some(until));
+                        assert_same(&eng, &w, &m);
+                    }
+                }
+                // run_to_exhaustion: a stop event usually ends it long
+                // before the backlog drains.
+                _ => {
+                    eng.run_to_exhaustion(&mut w);
+                    m.run(None);
+                }
+            }
+            assert_same(&eng, &w, &m);
+        }
+        while eng.queued() > 0 {
+            eng.run_to_exhaustion(&mut w);
+            m.run(None);
+            assert_same(&eng, &w, &m);
+        }
+        assert!(
+            w.ran.len() >= backlog + ops / 4,
+            "the sequence exercised the queue"
+        );
+    }
+
+    /// The 4-ary packed-key heap executes events in exactly the order of a
+    /// `BinaryHeap` over `(time, seq)`, across past-time clamping, ties,
+    /// day-sliced horizons, stop requests and slot reuse.
+    #[test]
+    fn matches_reference_model() {
+        for seed in 1..=24 {
+            check_against_model(seed, 1_500, 0);
+        }
+    }
+
+    /// The same, with a backlog of far-future events deep enough to give
+    /// the heap many levels.
+    #[test]
+    fn matches_reference_model_over_large_backlog() {
+        check_against_model(77, 3_000, 120_000);
+    }
+
+    /// Keys keep their order right up to the sequence limit, and the next
+    /// schedule fails loudly instead of wrapping into the slot bits.
+    #[test]
+    #[should_panic(expected = "event seq limit")]
+    fn seq_limit_is_enforced() {
+        let mut eng: Engine<Vec<u32>> = Engine::new();
+        eng.start_seq_at(SEQ_LIMIT - 9);
+        for i in 0..8 {
+            eng.schedule_at(SimTime(5), move |w: &mut Vec<u32>, _| w.push(i));
+        }
+        eng.schedule_at(SimTime(1), |w: &mut Vec<u32>, _| w.push(100));
+        let mut w = Vec::new();
+        eng.run_to_exhaustion(&mut w);
+        assert_eq!(w, [100, 0, 1, 2, 3, 4, 5, 6, 7]);
+        eng.schedule_at(SimTime(9), |_, _| {});
     }
 }

@@ -5,7 +5,7 @@
 //! simulator's keys are its own small integer ids, so that robustness buys
 //! nothing and its cost dominates hot paths that build or probe large maps
 //! (seeding 100 peers × 10 AUs × 99 reputation entries is ~100k inserts
-//! per world build; every message delivery probes the node→peer map).
+//! per world build).
 //!
 //! [`FxHasher`] is the word-at-a-time multiply-rotate hash the Rust
 //! compiler itself uses for exactly this workload. It is fully

@@ -15,11 +15,13 @@ pub mod engine;
 pub mod fxmap;
 pub mod json;
 pub mod rng;
+pub mod slab;
 pub mod time;
 pub mod weighted;
 
 pub use engine::{Engine, EngineObs, EventFn};
 pub use fxmap::{FxBuildHasher, FxHashMap, FxHasher};
 pub use rng::SimRng;
+pub use slab::Slab;
 pub use time::{Duration, SimTime};
 pub use weighted::AliasTable;
