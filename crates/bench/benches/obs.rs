@@ -15,7 +15,7 @@ use std::hint::black_box;
 
 use lockss_bench::Harness;
 use lockss_experiments::obs::ObsSession;
-use lockss_experiments::runner::{run_once, run_once_observed};
+use lockss_experiments::runner::{run, run_once};
 use lockss_experiments::scenario::{AttackSpec, Scenario};
 use lockss_experiments::Scale;
 use lockss_obs::{Profiler, RegistryBuilder, Span};
@@ -44,7 +44,7 @@ fn main() {
             "run/instruments-off",
             move || black_box(run_once(&sa, 1)),
             "run/instruments-on",
-            move || black_box(run_once_observed(&sb, 1, &ins)),
+            move || black_box(run(&sb, 1, None, &ins).summary()),
         );
     }
 

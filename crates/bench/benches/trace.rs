@@ -12,13 +12,12 @@ use std::hint::black_box;
 
 use lockss_bench::Harness;
 use lockss_core::trace::{TraceEventKind, TraceSink};
-use lockss_core::World;
 use lockss_crypto::sha256::sha256;
-use lockss_experiments::runner::{replay_once, run_once, run_once_recorded};
+use lockss_experiments::runner::{replay_once, run, run_once, Instruments};
 use lockss_experiments::scenario::{AttackSpec, Scenario};
 use lockss_experiments::Scale;
-use lockss_sim::{Duration, Engine, SimTime};
-use lockss_trace::{trace_stats, Recorder, RecorderV1, TraceMeta};
+use lockss_sim::Duration;
+use lockss_trace::{trace_stats, Recorder, RecorderV1, Trace, TraceMeta};
 
 fn smoke(attack: AttackSpec) -> Scenario {
     let mut s = Scenario::attacked(Scale::Quick, 2, attack);
@@ -40,23 +39,19 @@ fn meta(s: &Scenario) -> TraceMeta {
 /// sealing the trace — the pure record-path cost the `<5%` bar is about.
 /// (The seal — one SHA-256 over the finished bytes — is a per-trace,
 /// post-run cost, benched separately as `trace/seal`.) Ends with the same
-/// summarize/phase passes as `run_once` so the pair differs *only* in the
+/// summarize pass as `run_once` so the pair differs *only* in the
 /// recording.
 fn run_streaming(scenario: &Scenario, seed: u64, m: &TraceMeta) {
+    let sink = Box::new(Recorder::new(m));
+    black_box(run(scenario, seed, Some(sink), &Instruments::default()).summary());
+}
+
+/// Runs one seed with a recorder installed and seals the trace.
+fn run_recorded(scenario: &Scenario, seed: u64, m: &TraceMeta) -> Trace {
     let recorder = Recorder::new(m);
-    let mut cfg = scenario.cfg.clone();
-    cfg.seed = seed;
-    let mut world = World::new(cfg);
-    world.set_trace_sink(Box::new(recorder));
-    if let Some(adv) = scenario.attack.build() {
-        world.install_adversary(adv);
-    }
-    let mut eng: Engine<World> = Engine::new();
-    world.start(&mut eng);
-    let end = SimTime::ZERO + scenario.run_length;
-    eng.run_until(&mut world, end);
-    black_box(world.metrics.summarize(end));
-    black_box(world.metrics.phase_summaries(end));
+    let sink = Box::new(recorder.clone());
+    black_box(run(scenario, seed, Some(sink), &Instruments::default()).summary());
+    recorder.finish()
 }
 
 fn main() {
@@ -82,12 +77,12 @@ fn main() {
         let s = s.clone();
         let m = m.clone();
         h.bench("run/record-and-seal", move || {
-            black_box(run_once_recorded(&s, 1, &m))
+            black_box(run_recorded(&s, 1, &m))
         });
     }
 
     // Replay verification cost (decodes + compares every event).
-    let (_, _, trace) = run_once_recorded(&s, 1, &m);
+    let trace = run_recorded(&s, 1, &m);
     {
         let s = s.clone();
         let trace = trace.clone();

@@ -20,7 +20,7 @@
 
 use lockss_adversary::Defection;
 use lockss_core::config::Ablation;
-use lockss_experiments::runner::{default_threads, run_batch};
+use lockss_experiments::runner::{default_threads, run_batch_observed};
 use lockss_experiments::scenario::AttackSpec;
 use lockss_experiments::{save_results, Scale, ScenarioRegistry};
 use lockss_metrics::table::{ratio, sci};
@@ -115,7 +115,7 @@ fn main() {
         jobs.push(attacked);
         jobs.push(baseline);
     }
-    let summaries = run_batch(&jobs, seeds, default_threads());
+    let summaries = run_batch_observed(&jobs, seeds, default_threads(), None, None);
 
     let mut table = Table::new(vec![
         "case",

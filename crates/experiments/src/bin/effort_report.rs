@@ -7,26 +7,16 @@
 //! up almost entirely in `Consider`/`VerifyIntro`, brute force in
 //! `ComputeVote`.
 
-use lockss_core::World;
 use lockss_effort::ledger::ALL_PURPOSES;
 use lockss_effort::EffortLedger;
 use lockss_experiments::scenario::Scenario;
-use lockss_experiments::{save_results, Scale, ScenarioRegistry};
+use lockss_experiments::{run, save_results, Instruments, Scale, ScenarioRegistry};
 use lockss_metrics::Table;
-use lockss_sim::{Engine, SimTime};
 
 fn run_ledger(scenario: &Scenario, seed: u64) -> EffortLedger {
-    let mut cfg = scenario.cfg.clone();
-    cfg.seed = seed;
-    let mut world = World::new(cfg);
-    if let Some(adv) = scenario.attack.build() {
-        world.install_adversary(adv);
-    }
-    let mut eng: Engine<World> = Engine::new();
-    world.start(&mut eng);
-    eng.run_until(&mut world, SimTime::ZERO + scenario.run_length);
+    let done = run(scenario, seed, None, &Instruments::default());
     let mut total = EffortLedger::new();
-    for ledger in world.peers.ledgers() {
+    for ledger in done.world.peers.ledgers() {
         total.merge(ledger);
     }
     total

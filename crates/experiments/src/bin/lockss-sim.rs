@@ -37,25 +37,25 @@
 //! blocks on a worker pool and render byte-identical output at any
 //! `--threads` count.
 
+use lockss_core::TraceSink;
 use lockss_experiments::fuzz::run_fuzz;
 use lockss_experiments::obs::{ObsSession, SweepObs, Telemetry};
 use lockss_experiments::runner::{
-    default_threads, replay_once, run_batch_observed, run_once_observed,
-    run_once_recorded_observed, run_once_with_stats, RunStats,
+    self, default_threads, peak_rss_kb, replay_once, run_batch_observed, Instruments, Run,
 };
 use lockss_experiments::sweep::{
     self, campaign_status, dispatch, jobfile, load_checkpoint, merge_files, parse_seed_range,
-    parse_shard_arg, render_status, run_sweep_observed, run_sweep_shard_observed, DispatchPlan,
-    ShardTag,
+    parse_shard_arg, render_status, run_sweep_plan, DispatchPlan, ShardTag, SweepReport,
 };
 use lockss_experiments::{
     run_recovery_study, RecoveryStudy, Scale, ScenarioEntry, ScenarioRegistry, ScenarioSpec,
 };
 use lockss_metrics::table::{ratio, sci};
 use lockss_metrics::{PhaseSummary, Summary, Table};
-use lockss_obs::{unix_ms_now, Profiler};
+use lockss_obs::{unix_ms_now, Profiler, Span};
 use lockss_trace::{
-    diff_traces_threaded, export_csv, trace_stats_threaded, AggregateStats, Trace, TraceMeta,
+    diff_traces_threaded, export_csv, trace_stats_threaded, AggregateStats, Recorder, Trace,
+    TraceMeta,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -225,6 +225,7 @@ fn main() {
             }
             let profile = args.iter().any(|a| a == "--profile");
             let metrics_out = flag_value(&args, "--metrics-out");
+            let mem = args.iter().any(|a| a == "--mem-report");
             run(
                 &entry,
                 scale,
@@ -233,10 +234,8 @@ fn main() {
                 record.as_deref(),
                 profile,
                 metrics_out.as_deref(),
+                mem,
             );
-            if args.iter().any(|a| a == "--mem-report") {
-                mem_report(&entry.build(scale), seeds[0]);
-            }
         }
         Some("validate") => {
             let paths: Vec<&String> = args[1..].iter().filter(|a| !a.starts_with("--")).collect();
@@ -808,30 +807,19 @@ fn sweep_cmd(
             dir.display()
         );
     }
-    let report = match shard {
-        Some(tag) => run_sweep_shard_observed(
-            &scenario,
-            entry.name(),
-            scale.label(),
-            tag,
-            threads,
-            Some(&path),
-            resume,
-            sweep_obs.as_ref(),
-            record,
-        ),
-        None => run_sweep_observed(
-            &scenario,
-            entry.name(),
-            scale.label(),
-            seeds,
-            threads,
-            Some(&path),
-            resume,
-            sweep_obs.as_ref(),
-            record,
-        ),
+    let plan = match shard {
+        Some(tag) => SweepReport::new_shard(entry.name(), scale.label(), tag),
+        None => SweepReport::new(entry.name(), scale.label(), seeds.to_vec()),
     };
+    let report = run_sweep_plan(
+        &scenario,
+        plan,
+        threads,
+        Some(&path),
+        resume,
+        sweep_obs.as_ref(),
+        record,
+    );
 
     let mut table = Table::new(vec![
         "seed",
@@ -897,7 +885,9 @@ fn sweep_cmd(
         print!("{}", report.to_json());
     }
     if mem {
-        mem_report(&scenario, report.seeds.first().copied().unwrap_or(1));
+        let seed = report.seeds.first().copied().unwrap_or(1);
+        let occupancy = occupancy(&runner::run(&scenario, seed, None, &Instruments::default()));
+        print_mem_report(seed, &occupancy);
     }
 }
 
@@ -1039,43 +1029,46 @@ fn sweep_dispatch(registry: &ScenarioRegistry, name: &str, scale: Scale, args: &
     }
 }
 
-/// Prints peak RSS plus event-arena and peer-table occupancy for one
-/// representative seed of `scenario` (the run is repeated with the
-/// instrumented path; its metrics are identical to the plain run).
-fn mem_report(scenario: &lockss_experiments::Scenario, seed: u64) {
-    let RunStats {
-        summary: _,
-        peak_rss_kb,
-        arena_live,
-        arena_total,
-        events_executed,
-        events_queued,
-        table,
-    } = run_once_with_stats(scenario, seed);
+/// Renders the event-arena, event-count and peer-table occupancy of a
+/// finished run, for `--mem-report`.
+fn occupancy(done: &Run) -> String {
+    let (arena_live, arena_total) = done.engine.arena_occupancy();
+    let table = done.world.peers.occupancy();
+    let lines = [
+        format!("event arena               {arena_live} live / {arena_total} high-water slots"),
+        format!(
+            "events                    {} executed, {} queued at horizon",
+            done.engine.executed(),
+            done.engine.queued()
+        ),
+        format!(
+            "peer table                {} peers x {} AU(s)",
+            table.peers, table.aus_per_peer
+        ),
+        format!(
+            "reputation entries        {} materialized (lazy founding-population rule)",
+            table.known_entries
+        ),
+        format!("reference-list entries    {}", table.reflist_entries),
+        format!(
+            "live polls / voter sessions  {} / {}",
+            table.live_polls, table.voter_sessions
+        ),
+    ];
+    lines.iter().map(|l| format!("  {l}\n")).collect()
+}
+
+/// Prints the process's peak RSS (`VmHWM`, read now: the heaviest world
+/// this process built so far) and a run's [`occupancy`].
+fn print_mem_report(seed: u64, occupancy: &str) {
     println!("\nmemory report (seed {seed}):");
     println!(
         "  peak RSS                  {}",
-        peak_rss_kb
+        peak_rss_kb()
             .map(|kb| format!("{:.1} MiB", kb as f64 / 1024.0))
             .unwrap_or_else(|| "unavailable on this platform".into())
     );
-    println!("  event arena               {arena_live} live / {arena_total} high-water slots");
-    println!(
-        "  events                    {events_executed} executed, {events_queued} queued at horizon"
-    );
-    println!(
-        "  peer table                {} peers x {} AU(s)",
-        table.peers, table.aus_per_peer
-    );
-    println!(
-        "  reputation entries        {} materialized (lazy founding-population rule)",
-        table.known_entries
-    );
-    println!("  reference-list entries    {}", table.reflist_entries);
-    println!(
-        "  live polls / voter sessions  {} / {}",
-        table.live_polls, table.voter_sessions
-    );
+    print!("{occupancy}");
 }
 
 fn load_trace(path: &str) -> Trace {
@@ -1214,6 +1207,7 @@ fn run(
     record: Option<&str>,
     profile: bool,
     metrics_out: Option<&str>,
+    mem: bool,
 ) {
     let scenario = entry.build(scale);
     let attacked_label = scenario.attack.label();
@@ -1226,9 +1220,9 @@ fn run(
         attacked_label,
     );
 
-    // Observability is out-of-band: the observed run variants produce
-    // byte-identical summaries, so they are used unconditionally (with
-    // empty instruments when nothing was requested).
+    // Observability is out-of-band: instruments never change a run, so
+    // the same path serves with or without them (empty instruments when
+    // nothing was requested).
     let session = (profile || metrics_out.is_some()).then(ObsSession::new);
     let merged_prof = profile.then(|| Mutex::new(Profiler::new()));
     let sp = profile.then(Profiler::shared);
@@ -1243,33 +1237,43 @@ fn run(
     } else {
         vec![scenario.clone(), scenario.matched_baseline()]
     };
-    // run_batch means over a contiguous 1..=K seed range; an explicit
-    // --seed N runs that single seed directly. The per-phase breakdown is
-    // per-seed, reported for the first seed: free in the single-seed path,
-    // one extra (composite-only) run in the batch path.
-    let (attacked, baseline, phases) = if let Some(path) = record {
-        // Recording is single-seed (enforced by the caller): the recorded
-        // run doubles as the report run, since the sink never perturbs it.
-        let meta = TraceMeta {
-            scenario: entry.name().to_string(),
-            scale: scale.label().to_string(),
-            seed: seeds[0],
-            run_length_ms: scenario.run_length.as_millis(),
-        };
-        let (a, phases, trace) = run_once_recorded_observed(&jobs[0], seeds[0], &meta, &ins);
-        match trace.write_to(Path::new(path)) {
-            Ok(()) => println!(
-                "recorded {} event(s) to {path} (content hash {})",
-                trace.events(),
-                trace.content_hash()
-            ),
-            Err(e) => fail(&format!("writing {path}: {e}")),
+    // An explicit single seed runs directly: that run is the report run,
+    // the recorded run (the sink never perturbs it) and the mem-report
+    // run. Several seeds mean over 1..=K on the worker pool; the
+    // per-phase breakdown (composites only) and the mem report then come
+    // from one extra run of the first seed.
+    let mut mem_occupancy = None;
+    let (attacked, baseline, phases) = if seeds.len() == 1 {
+        let recorder = record.map(|_| {
+            Recorder::new(&TraceMeta {
+                scenario: entry.name().to_string(),
+                scale: scale.label().to_string(),
+                seed: seeds[0],
+                run_length_ms: scenario.run_length.as_millis(),
+            })
+        });
+        let sink = recorder.clone().map(|r| Box::new(r) as Box<dyn TraceSink>);
+        let done = runner::run(&jobs[0], seeds[0], sink, &ins);
+        mem_occupancy = mem.then(|| occupancy(&done));
+        let (a, phases) = (done.summary(), done.phases());
+        drop(done);
+        if let (Some(recorder), Some(path)) = (recorder, record) {
+            let trace = {
+                let _span = Span::enter(&sp, "trace-seal");
+                recorder.finish()
+            };
+            match trace.write_to(Path::new(path)) {
+                Ok(()) => println!(
+                    "recorded {} event(s) to {path} (content hash {})",
+                    trace.events(),
+                    trace.content_hash()
+                ),
+                Err(e) => fail(&format!("writing {path}: {e}")),
+            }
         }
-        let b = jobs.get(1).map(|j| run_once_observed(j, seeds[0], &ins).0);
-        (a, b, phases)
-    } else if seeds.len() == 1 {
-        let (a, phases) = run_once_observed(&jobs[0], seeds[0], &ins);
-        let b = jobs.get(1).map(|j| run_once_observed(j, seeds[0], &ins).0);
+        let b = jobs
+            .get(1)
+            .map(|j| runner::run(j, seeds[0], None, &ins).summary());
         (a, b, phases)
     } else {
         let out = run_batch_observed(
@@ -1281,11 +1285,12 @@ fn run(
         );
         let mut it = out.into_iter();
         let a = it.next().expect("attacked summary");
-        let phases = if scenario.attack.is_composite() {
-            run_once_observed(&scenario, seeds[0], &ins).1
-        } else {
-            Vec::new()
-        };
+        let mut phases = Vec::new();
+        if scenario.attack.is_composite() || mem {
+            let done = runner::run(&scenario, seeds[0], None, &ins);
+            phases = done.phases();
+            mem_occupancy = mem.then(|| occupancy(&done));
+        }
         (a, it.next(), phases)
     };
     let base = baseline.as_ref().unwrap_or(&attacked);
@@ -1380,6 +1385,9 @@ fn run(
     }
     if json_out {
         println!("{json}");
+    }
+    if let Some(occupancy) = mem_occupancy {
+        print_mem_report(seeds[0], &occupancy);
     }
 }
 

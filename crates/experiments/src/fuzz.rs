@@ -32,12 +32,12 @@ use std::collections::BTreeSet;
 use lockss_adversary::Defection;
 use lockss_core::World;
 use lockss_metrics::{PhaseSummary, RunMetrics, Summary};
-use lockss_sim::{Engine, SimRng, SimTime};
-use lockss_trace::TraceMeta;
+use lockss_sim::SimRng;
+use lockss_trace::{Recorder, TraceMeta};
 
-use crate::runner::{replay_once, run_once_recorded};
+use crate::runner::{replay_once, run, Instruments};
 use crate::scale::Scale;
-use crate::scenario::{phased, AttackSpec, PhasedAttack, Scenario};
+use crate::scenario::{phased, AttackSpec, PhasedAttack};
 use crate::spec::{AusSpec, PeersSpec, RunSpec, ScenarioSpec, WorldSpec};
 
 /// One oracle violation: which oracle fired and why.
@@ -233,26 +233,6 @@ pub fn mutate_spec(base: &ScenarioSpec, rng: &mut SimRng, gen_seed: u64) -> Scen
 
 fn violation(oracle: &'static str, detail: String) -> Violation {
     Violation { oracle, detail }
-}
-
-/// Runs one seed of a scenario and hands back the world alongside the
-/// summary, so oracles can cross-check the summary against the raw
-/// metric surface (mirrors `runner::run_once_with_phases`, which drops
-/// the world).
-fn run_instrumented(scenario: &Scenario, seed: u64) -> (Summary, Vec<PhaseSummary>, World) {
-    let mut cfg = scenario.cfg.clone();
-    cfg.seed = seed;
-    let mut world = World::new(cfg);
-    if let Some(adv) = scenario.attack.build() {
-        world.install_adversary(adv);
-    }
-    let mut eng: Engine<World> = Engine::new();
-    world.start(&mut eng);
-    let end = SimTime::ZERO + scenario.run_length;
-    eng.run_until(&mut world, end);
-    let summary = world.metrics.summarize(end);
-    let phases = world.metrics.phase_summaries(end);
-    (summary, phases, world)
 }
 
 fn close(a: f64, b: f64) -> bool {
@@ -462,18 +442,24 @@ pub fn check_campaign(spec: &ScenarioSpec, run_seed: u64) -> Result<CampaignStat
 
     // Oracle 2: the untraced run's accounting is internally consistent.
     let scenario = spec.build(Scale::Quick);
-    let (summary, phases, world) = run_instrumented(&scenario, run_seed);
-    check_accounting(spec, &summary, &phases, &world)?;
+    // The finished world rides along so the oracles can cross-check the
+    // summary against the raw metric surface.
+    let finished = run(&scenario, run_seed, None, &Instruments::default());
+    let (summary, phases) = (finished.summary(), finished.phases());
+    check_accounting(spec, &summary, &phases, &finished.world)?;
+    drop(finished);
 
     // Oracle 3: recording must not perturb the run, and the trace must
     // replay without divergence.
-    let meta = TraceMeta {
+    let recorder = Recorder::new(&TraceMeta {
         scenario: spec.name.clone(),
         scale: Scale::Quick.label().to_string(),
         seed: run_seed,
         run_length_ms: scenario.run_length.as_millis(),
-    };
-    let (recorded_summary, _, trace) = run_once_recorded(&scenario, run_seed, &meta);
+    });
+    let sink = Box::new(recorder.clone());
+    let recorded_summary = run(&scenario, run_seed, Some(sink), &Instruments::default()).summary();
+    let trace = recorder.finish();
     if recorded_summary != summary {
         return Err(violation(
             "replay",

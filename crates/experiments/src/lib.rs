@@ -35,12 +35,13 @@ pub mod sweeps;
 pub use obs::{heartbeat_path, ObsSession, SweepObs, Telemetry};
 pub use recovery::{run_recovery_study, RecoveryReport, RecoveryStudy};
 pub use registry::{ScenarioEntry, ScenarioRegistry};
-pub use runner::{run_scenario, Instruments, MeasuredPoint};
+pub use runner::{run, run_once, Instruments, MeasuredPoint, Run};
 pub use scale::Scale;
 pub use scenario::{phased, AttackSpec, PhasedAttack, Scenario};
 pub use spec::{ScenarioSpec, SpecError, WorldSpec};
 pub use sweep::{
-    dispatch, jobfile, merge_files, run_sweep, run_sweep_shard, DispatchPlan, ShardTag, SweepReport,
+    dispatch, jobfile, merge_files, run_sweep_observed, run_sweep_plan, DispatchPlan, ShardTag,
+    SweepReport,
 };
 
 use std::io::Write as _;

@@ -1,16 +1,21 @@
-//! Runs scenarios across seeds, in parallel, and condenses the metrics —
-//! plus the traced variants: record a run's full event stream, or replay
-//! one against a recorded trace and verify event-for-event equivalence.
+//! The one run pipeline. [`run`] is the only place a [`Scenario`] becomes
+//! a running [`World`]: it builds the world, installs the trace sink and
+//! the adversary, sizes the engine, starts the world and runs it to the
+//! scenario's horizon. Every other entry point is a caller of it —
+//! [`run_once`] for a summary, [`replay_once`] for a verified replay,
+//! [`run_batch_observed`] across seeds on the shared worker `pool` —
+//! so a recorded or instrumented run is the plain run by construction.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use lockss_core::{CoreObs, TableOccupancy, World, WorldConfig};
+use lockss_core::{CoreObs, TraceSink, World, WorldConfig};
 use lockss_metrics::{PhaseSummary, Summary};
 use lockss_obs::{Profiler, SharedProfiler, Span};
 use lockss_sim::{Engine, EngineObs, SimTime};
-use lockss_trace::{Recorder, ReplayReport, Trace, TraceError, TraceMeta, Verifier};
+use lockss_trace::{ReplayReport, Trace, TraceError, Verifier};
 
+use crate::obs::ObsSession;
 use crate::scenario::Scenario;
 
 /// An engine pre-sized for the scenario's population: a 10k+-peer world
@@ -24,10 +29,10 @@ fn engine_for(cfg: &WorldConfig) -> Engine<World> {
 }
 
 /// Locks a mutex, recovering from poisoning: if a worker panicked while
-/// holding the lock, the queue/result state it protects is still valid (a
-/// pop or a push completed or didn't), so the surviving workers keep
-/// draining instead of cascading panics and wedging `run_batch`.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// holding the lock, the state it protects is still valid (a record or a
+/// merge completed or didn't), so the surviving workers keep draining
+/// instead of cascading panics.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
@@ -80,94 +85,52 @@ pub struct Instruments {
     pub profiler: Option<SharedProfiler>,
 }
 
-impl Instruments {
-    /// True when nothing is being observed.
-    pub fn is_off(&self) -> bool {
-        self.core.is_none() && self.engine.is_none() && self.profiler.is_none()
+/// A world run to its horizon by [`run`], with the engine that drove it.
+pub struct Run {
+    /// The finished world: metrics, peer table, effort ledgers.
+    pub world: World,
+    /// The engine, holding its event counts and arena occupancy.
+    pub engine: Engine<World>,
+    /// The horizon the run stopped at.
+    pub end: SimTime,
+}
+
+impl Run {
+    /// The run's metric summary.
+    pub fn summary(&self) -> Summary {
+        self.world.metrics.summarize(self.end)
+    }
+
+    /// The per-phase breakdown: empty unless the attack is a phased
+    /// composite, which records a mark as each member starts.
+    pub fn phases(&self) -> Vec<PhaseSummary> {
+        self.world.metrics.phase_summaries(self.end)
     }
 }
 
-/// Runs one seed of a scenario to completion.
-pub fn run_once(scenario: &Scenario, seed: u64) -> Summary {
-    run_once_with_phases(scenario, seed).0
-}
-
-/// Runs one seed and also returns the per-phase metric breakdown (empty
-/// unless the attack is a phased composite, which records a mark as each
-/// member starts).
-pub fn run_once_with_phases(scenario: &Scenario, seed: u64) -> (Summary, Vec<PhaseSummary>) {
-    run_once_observed(scenario, seed, &Instruments::default())
-}
-
-/// [`run_once_with_phases`] with instruments installed: spans around
-/// world build and the simulation loop, metric handles wired into the
-/// world and engine.
-pub fn run_once_observed(
-    scenario: &Scenario,
-    seed: u64,
-    ins: &Instruments,
-) -> (Summary, Vec<PhaseSummary>) {
-    let mut cfg = scenario.cfg.clone();
-    cfg.seed = seed;
-    let mut world = {
-        let _span = Span::enter(&ins.profiler, "world-build");
-        let mut world = World::new(cfg);
-        if let Some(adv) = scenario.attack.build() {
-            world.install_adversary(adv);
-        }
-        world
-    };
-    if let Some(core) = &ins.core {
-        world.set_obs(core.clone());
-    }
-    if let Some(prof) = &ins.profiler {
-        world.set_profiler(prof.clone());
-    }
-    let mut eng: Engine<World> = engine_for(&scenario.cfg);
-    if let Some(engine) = &ins.engine {
-        eng.set_obs(engine.clone());
-    }
-    let end = SimTime::ZERO + scenario.run_length;
-    {
-        let _span = Span::enter(&ins.profiler, "simulate");
-        world.start(&mut eng);
-        eng.run_until(&mut world, end);
-    }
-    (
-        world.metrics.summarize(end),
-        world.metrics.phase_summaries(end),
-    )
-}
-
-/// Runs one seed with a trace recorder installed; returns the summary, the
-/// per-phase breakdown, and the sealed trace.
+/// Runs one seed of a scenario to its horizon: the only Scenario → World
+/// assembly point.
 ///
-/// Recording does not perturb the run: emission never touches the RNG or
-/// the event queue, so the summary is byte-identical to an untraced
-/// [`run_once`] of the same `(scenario, seed)`.
-pub fn run_once_recorded(
+/// `sink` receives the event stream (a `Recorder` clone to record, a
+/// `Verifier` clone to replay; `finish` the original afterwards). It is
+/// installed before the adversary, so adversary set-up is captured too.
+/// `ins` wires metric handles into the world and engine and profiles
+/// `world-build` and `simulate` spans. Neither ever perturbs the run:
+/// emission and instruments read protocol state, they never feed it.
+pub fn run(
     scenario: &Scenario,
     seed: u64,
-    meta: &TraceMeta,
-) -> (Summary, Vec<PhaseSummary>, Trace) {
-    run_once_recorded_observed(scenario, seed, meta, &Instruments::default())
-}
-
-/// [`run_once_recorded`] with instruments installed; adds a
-/// `trace-seal` span around sealing the recorded stream.
-pub fn run_once_recorded_observed(
-    scenario: &Scenario,
-    seed: u64,
-    meta: &TraceMeta,
+    sink: Option<Box<dyn TraceSink>>,
     ins: &Instruments,
-) -> (Summary, Vec<PhaseSummary>, Trace) {
-    let recorder = Recorder::new(meta);
+) -> Run {
     let mut cfg = scenario.cfg.clone();
     cfg.seed = seed;
     let mut world = {
         let _span = Span::enter(&ins.profiler, "world-build");
         let mut world = World::new(cfg);
-        world.set_trace_sink(Box::new(recorder.clone()));
+        if let Some(sink) = sink {
+            world.set_trace_sink(sink);
+        }
         if let Some(adv) = scenario.attack.build() {
             world.install_adversary(adv);
         }
@@ -179,23 +142,22 @@ pub fn run_once_recorded_observed(
     if let Some(prof) = &ins.profiler {
         world.set_profiler(prof.clone());
     }
-    let mut eng: Engine<World> = engine_for(&scenario.cfg);
-    if let Some(engine) = &ins.engine {
-        eng.set_obs(engine.clone());
+    let mut engine = engine_for(&scenario.cfg);
+    if let Some(obs) = &ins.engine {
+        engine.set_obs(obs.clone());
     }
     let end = SimTime::ZERO + scenario.run_length;
     {
         let _span = Span::enter(&ins.profiler, "simulate");
-        world.start(&mut eng);
-        eng.run_until(&mut world, end);
+        world.start(&mut engine);
+        engine.run_until(&mut world, end);
     }
-    let summary = world.metrics.summarize(end);
-    let phases = world.metrics.phase_summaries(end);
-    let trace = {
-        let _span = Span::enter(&ins.profiler, "trace-seal");
-        recorder.finish()
-    };
-    (summary, phases, trace)
+    Run { world, engine, end }
+}
+
+/// Runs one seed of a scenario to completion and returns its summary.
+pub fn run_once(scenario: &Scenario, seed: u64) -> Summary {
+    run(scenario, seed, None, &Instruments::default()).summary()
 }
 
 /// Replays a scenario at `seed` against a recorded trace, verifying
@@ -211,64 +173,13 @@ pub fn replay_once(
 ) -> Result<ReplayReport, TraceError> {
     let verifier = Verifier::new(trace);
     let meta = trace.meta()?;
-    let mut cfg = scenario.cfg.clone();
-    cfg.seed = seed;
-    let mut world = World::new(cfg);
-    world.set_trace_sink(Box::new(verifier.clone()));
-    if let Some(adv) = scenario.attack.build() {
-        world.install_adversary(adv);
-    }
-    let mut eng: Engine<World> = engine_for(&scenario.cfg);
-    world.start(&mut eng);
-    let end = SimTime::ZERO + scenario.run_length;
-    eng.run_until(&mut world, end);
+    let _finished = run(
+        scenario,
+        seed,
+        Some(Box::new(verifier.clone())),
+        &Instruments::default(),
+    );
     verifier.finish(meta)
-}
-
-/// Resource accounting of one run, for `--mem-report`.
-#[derive(Clone, Debug)]
-pub struct RunStats {
-    /// The run's metric summary.
-    pub summary: Summary,
-    /// Process peak RSS in kilobytes (`VmHWM`), where the platform exposes
-    /// it. Note: a process-wide high-water mark, so it reflects the
-    /// heaviest world this process ever built, not necessarily this run.
-    pub peak_rss_kb: Option<u64>,
-    /// Event-arena occupancy at end of run: live slots.
-    pub arena_live: usize,
-    /// Event-arena high-water mark: total slots ever in use at once.
-    pub arena_total: usize,
-    /// Events executed by the run.
-    pub events_executed: u64,
-    /// Events still queued at the horizon.
-    pub events_queued: usize,
-    /// Peer-table heap occupancy at end of run.
-    pub table: TableOccupancy,
-}
-
-/// Runs one seed and collects the memory/occupancy report alongside the
-/// summary (the run itself is identical to [`run_once`]).
-pub fn run_once_with_stats(scenario: &Scenario, seed: u64) -> RunStats {
-    let mut cfg = scenario.cfg.clone();
-    cfg.seed = seed;
-    let mut world = World::new(cfg);
-    if let Some(adv) = scenario.attack.build() {
-        world.install_adversary(adv);
-    }
-    let mut eng: Engine<World> = engine_for(&scenario.cfg);
-    world.start(&mut eng);
-    let end = SimTime::ZERO + scenario.run_length;
-    eng.run_until(&mut world, end);
-    let (arena_live, arena_total) = eng.arena_occupancy();
-    RunStats {
-        summary: world.metrics.summarize(end),
-        peak_rss_kb: peak_rss_kb(),
-        arena_live,
-        arena_total,
-        events_executed: eng.executed(),
-        events_queued: eng.queued(),
-        table: world.peers.occupancy(),
-    }
 }
 
 /// The process's peak resident set size in kilobytes, read from
@@ -279,83 +190,90 @@ pub fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// Runs `seeds` seeds of a scenario and returns the mean summary.
-pub fn run_scenario(scenario: &Scenario, seeds: u64) -> Summary {
-    let runs: Vec<Summary> = (0..seeds).map(|s| run_once(scenario, s + 1)).collect();
-    Summary::mean_of(&runs)
-}
-
-/// Runs a batch of (key, scenario) jobs × seeds across worker threads;
-/// returns mean summaries in input order.
+/// Runs a batch of scenarios × seeds `1..=seeds` on the worker `pool`;
+/// returns one mean summary per scenario, in input order.
 ///
-/// Workers claim work items by bumping one atomic cursor — no queue lock
-/// to contend on or poison. Results are slotted by seed index, not
-/// completion order, so the mean (a float reduction, hence
-/// order-sensitive) is byte-identical no matter how many threads raced —
-/// `threads = 1` and `threads = 4` agree exactly.
-pub fn run_batch(jobs: &[Scenario], seeds: u64, threads: usize) -> Vec<Summary> {
-    run_batch_observed(jobs, seeds, threads, None, None)
-}
-
-/// [`run_batch`] with instruments: workers share the session's metric
-/// handles, and each worker profiles into its own tree (under a
-/// `worker-chunk` root) that is merged into `profiler` as it exits.
+/// Results are slotted by seed, not completion order, so the mean (a
+/// float reduction, hence order-sensitive) is byte-identical no matter
+/// how many threads raced — `threads = 1` and `threads = 4` agree
+/// exactly. With `session`, workers share its metric handles; with
+/// `profiler`, each worker's span tree is merged into it.
 pub fn run_batch_observed(
     jobs: &[Scenario],
     seeds: u64,
     threads: usize,
-    session: Option<&crate::obs::ObsSession>,
+    session: Option<&ObsSession>,
     profiler: Option<&Mutex<Profiler>>,
 ) -> Vec<Summary> {
-    // Expand into (job index, seed) work items, claimed by atomic index.
-    let work: Vec<(usize, u64)> = (0..jobs.len())
-        .flat_map(|j| (0..seeds).map(move |s| (j, s + 1)))
-        .collect();
-    let next = AtomicUsize::new(0);
-    let results: Vec<Mutex<Vec<Option<Summary>>>> = (0..jobs.len())
-        .map(|_| Mutex::new(vec![None; seeds as usize]))
-        .collect();
-
-    let threads = threads.max(1).min(work.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // Profilers are single-threaded (`Rc`); each worker grows
-                // its own tree and merges it on the way out.
-                let wprof = profiler.map(|_| Profiler::shared());
-                let ins = match session {
-                    Some(s) => s.instruments(wprof.clone()),
-                    None => Instruments::default(),
-                };
-                let chunk = Span::enter(&wprof, "worker-chunk");
-                loop {
-                    let item = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(j, seed)) = work.get(item) else {
-                        break;
-                    };
-                    let summary = if ins.is_off() {
-                        run_once(&jobs[j], seed)
-                    } else {
-                        run_once_observed(&jobs[j], seed, &ins).0
-                    };
-                    lock(&results[j])[(seed - 1) as usize] = Some(summary);
-                }
-                drop(chunk);
-                if let (Some(wp), Some(merged)) = (wprof, profiler) {
-                    lock(merged).absorb(&wp.borrow());
-                }
-            });
-        }
-    });
-
-    results
-        .into_iter()
-        .map(|m| {
-            let slots = lock(&m);
-            let runs: Vec<Summary> = slots.iter().flatten().cloned().collect();
-            Summary::mean_of(&runs)
-        })
+    let per_job = seeds as usize;
+    let runs = pool(
+        jobs.len() * per_job,
+        threads,
+        session,
+        profiler,
+        |i, ins| run(&jobs[i / per_job], (i % per_job) as u64 + 1, None, ins).summary(),
+    );
+    (0..jobs.len())
+        .map(|j| Summary::mean_of(&runs[j * per_job..(j + 1) * per_job]))
         .collect()
+}
+
+/// How many workers [`pool`] starts for `n` items: at least one, never
+/// more than there are items.
+pub(crate) fn pool_width(n: usize, threads: usize) -> usize {
+    threads.max(1).min(n.max(1))
+}
+
+/// The one worker pool behind batches, sweeps and the recovery study:
+/// [`pool_width`] scoped workers claim indices `0..n` off one atomic
+/// cursor and call `job(i, instruments)`; the results come back in index
+/// order, whatever the thread count or completion order.
+///
+/// With `session`, each worker's instruments share its metric handles.
+/// With `profiler`, each worker profiles into its own tree (profilers are
+/// single-threaded `Rc`s) under a `worker-chunk` root, merged into
+/// `profiler` as the worker exits.
+pub(crate) fn pool<T: Send>(
+    n: usize,
+    threads: usize,
+    session: Option<&ObsSession>,
+    profiler: Option<&Mutex<Profiler>>,
+    job: impl Fn(usize, &Instruments) -> T + Sync,
+) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let mut done: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..pool_width(n, threads))
+            .map(|_| {
+                scope.spawn(|| {
+                    let wprof = profiler.map(|_| Profiler::shared());
+                    let ins = session
+                        .map(|s| s.instruments(wprof.clone()))
+                        .unwrap_or_default();
+                    let chunk = Span::enter(&wprof, "worker-chunk");
+                    let mut out = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        out.push((i, job(i, &ins)));
+                    }
+                    drop(chunk);
+                    if let (Some(wp), Some(merged)) = (wprof, profiler) {
+                        lock(merged).absorb(&wp.borrow());
+                    }
+                    out
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    // The cursor hands out each index exactly once.
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Default worker-thread count: the machine's parallelism.
@@ -368,13 +286,50 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::ScenarioRegistry;
     use crate::scale::Scale;
     use lockss_sim::Duration;
+    use lockss_trace::{Recorder, TraceMeta};
 
     fn tiny() -> Scenario {
         let mut s = Scenario::baseline(Scale::Quick, 2);
         s.run_length = Duration::from_days(120);
         s
+    }
+
+    /// A phased composite from the registry, shrunk so a debug build runs
+    /// it quickly; its second member starts on day 90.
+    fn tiny_composite() -> Scenario {
+        let mut s = ScenarioRegistry::standard()
+            .build("stoppage-then-flood", Scale::Quick)
+            .expect("registered")
+            .with_aus(2);
+        s.cfg.n_peers = 30;
+        s.run_length = Duration::from_days(180);
+        s
+    }
+
+    fn meta(s: &Scenario, seed: u64) -> TraceMeta {
+        TraceMeta {
+            scenario: "tiny".into(),
+            scale: "quick".into(),
+            seed,
+            run_length_ms: s.run_length.as_millis(),
+        }
+    }
+
+    /// Runs `s` at `seed` with a recorder installed; returns the summary
+    /// and the sealed trace.
+    fn recorded(s: &Scenario, seed: u64) -> (Summary, Trace) {
+        let recorder = Recorder::new(&meta(s, seed));
+        let summary = run(
+            s,
+            seed,
+            Some(Box::new(recorder.clone())),
+            &Instruments::default(),
+        )
+        .summary();
+        (summary, recorder.finish())
     }
 
     #[test]
@@ -386,28 +341,52 @@ mod tests {
         assert!((a.loyal_effort_secs - b.loyal_effort_secs).abs() < 1e-9);
     }
 
-    fn tiny_meta(seed: u64) -> TraceMeta {
-        TraceMeta {
-            scenario: "tiny".into(),
-            scale: "quick".into(),
-            seed,
-            run_length_ms: tiny().run_length.as_millis(),
-        }
-    }
-
+    /// {no sink, recorder} × {instruments off, on}: all four runs agree on
+    /// the summary and the phase breakdown, and every recorded trace
+    /// replays with zero divergence.
     #[test]
     fn recording_does_not_perturb_the_run() {
-        let s = tiny();
-        let plain = run_once(&s, 5);
-        let (recorded, _phases, trace) = run_once_recorded(&s, 5, &tiny_meta(5));
-        assert_eq!(plain, recorded, "recording must be invisible to the run");
-        assert!(trace.decode_all().unwrap().len() > 100, "stream captured");
+        for (name, s) in [("tiny", tiny()), ("composite", tiny_composite())] {
+            let session = ObsSession::new();
+            let reference = run(&s, 5, None, &Instruments::default());
+            let (summary, phases) = (reference.summary(), reference.phases());
+            drop(reference);
+            if name == "composite" {
+                assert_eq!(phases.len(), 2, "both members started");
+            }
+            for record in [false, true] {
+                for observe in [false, true] {
+                    let ins = if observe {
+                        session.instruments(Some(Profiler::shared()))
+                    } else {
+                        Instruments::default()
+                    };
+                    let recorder = record.then(|| Recorder::new(&meta(&s, 5)));
+                    let sink = recorder.clone().map(|r| Box::new(r) as Box<dyn TraceSink>);
+                    let done = run(&s, 5, sink, &ins);
+                    let case = format!("{name}: record={record} observe={observe}");
+                    assert_eq!(done.summary(), summary, "{case}");
+                    assert_eq!(done.phases(), phases, "{case}");
+                    drop(done);
+                    if let Some(recorder) = recorder {
+                        let trace = recorder.finish();
+                        assert!(trace.decode_all().unwrap().len() > 100, "{case}");
+                        let report = replay_once(&s, 5, &trace).unwrap();
+                        assert!(report.is_equivalent(), "{case}: {report}");
+                    }
+                }
+            }
+            assert!(
+                session.core.polls_started.get() > 0,
+                "instruments saw the runs"
+            );
+        }
     }
 
     #[test]
     fn faithful_replay_is_equivalent() {
         let s = tiny();
-        let (_, _, trace) = run_once_recorded(&s, 5, &tiny_meta(5));
+        let (_, trace) = recorded(&s, 5);
         let report = replay_once(&s, 5, &trace).unwrap();
         assert!(report.is_equivalent(), "{report}");
         assert!(report.events_matched > 100);
@@ -416,7 +395,7 @@ mod tests {
     #[test]
     fn perturbed_replay_reports_the_first_divergence() {
         let s = tiny();
-        let (_, _, trace) = run_once_recorded(&s, 5, &tiny_meta(5));
+        let (_, trace) = recorded(&s, 5);
         let report = replay_once(&s, 6, &trace).unwrap();
         assert!(!report.is_equivalent(), "different seed must fork");
         let d = report.divergence.clone().expect("divergence");
@@ -429,10 +408,17 @@ mod tests {
     #[test]
     fn batch_matches_sequential() {
         let s = tiny();
-        let seq = run_scenario(&s, 2);
-        let batch = run_batch(std::slice::from_ref(&s), 2, 4);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].successful_polls, seq.successful_polls);
-        assert!((batch[0].loyal_effort_secs - seq.loyal_effort_secs).abs() < 1e-6);
+        let seq = Summary::mean_of(&[run_once(&s, 1), run_once(&s, 2)]);
+        let batch = run_batch_observed(std::slice::from_ref(&s), 2, 4, None, None);
+        assert_eq!(batch, vec![seq], "slotted by seed, reduced in seed order");
+    }
+
+    #[test]
+    fn pool_results_are_slotted_by_index() {
+        for threads in [1, 3, 16] {
+            let out = pool(50, threads, None, None, |i, _| i * i);
+            assert_eq!(out, (0..50).map(|i| i * i).collect::<Vec<_>>());
+        }
+        assert!(pool(0, 4, None, None, |i, _| i).is_empty());
     }
 }

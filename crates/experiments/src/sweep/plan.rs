@@ -25,15 +25,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use lockss_metrics::Summary;
-use lockss_obs::{current_rss_kb, unix_ms_now, Heartbeat, Profiler, Span};
+use lockss_obs::{current_rss_kb, unix_ms_now, Heartbeat, Span};
 use lockss_sim::json;
 use lockss_sim::Duration;
-
-use lockss_trace::TraceMeta;
+use lockss_trace::{Recorder, TraceMeta};
 
 use super::shard::{CrashHook, ShardTag};
 use crate::obs::{heartbeat_path, SweepObs};
-use crate::runner::{run_once, run_once_observed, run_once_recorded_observed, Instruments};
+use crate::runner::{lock, pool, pool_width, run};
 use crate::scenario::Scenario;
 
 /// The checkpoint/report format tag. Any file carrying a different tag
@@ -331,30 +330,8 @@ pub fn write_checkpoint(path: &Path, content: &str) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Runs a single-process (unsharded) sweep: seeds already present in
-/// `resume` are reused verbatim, the rest are executed across `threads`
-/// workers, and the returned report is identical no matter the thread
-/// count or how the work was split across interruptions.
-///
-/// With `checkpoint`, the partial report is persisted after every
-/// finished seed and the final report overwrites it at the end.
-pub fn run_sweep(
-    scenario: &Scenario,
-    name: &str,
-    scale: &str,
-    seeds: &[u64],
-    threads: usize,
-    checkpoint: Option<&Path>,
-    resume: Option<SweepReport>,
-) -> SweepReport {
-    run_sweep_observed(
-        scenario, name, scale, seeds, threads, checkpoint, resume, None, None,
-    )
-}
-
-/// [`run_sweep`] with observability hooks: workers bump the session's
-/// counters and profile into per-worker trees, and a monitor thread
-/// appends heartbeats while they run.
+/// Runs a single-process (unsharded) sweep of `seeds`; see
+/// [`run_sweep_plan`].
 ///
 /// With `record`, each *freshly executed* seed also writes its sealed
 /// event trace to `<record>/trace-<scenario>-s<seed>.bin` (recording
@@ -374,41 +351,6 @@ pub fn run_sweep_observed(
     record: Option<&Path>,
 ) -> SweepReport {
     let plan = SweepReport::new(name, scale, seeds.to_vec());
-    run_sweep_plan(scenario, plan, threads, checkpoint, resume, obs, record)
-}
-
-/// Runs one shard of a campaign: the seed slice is computed from the
-/// topology tag, and the checkpoint carries the tag so `sweep merge` can
-/// validate the reassembled campaign.
-pub fn run_sweep_shard(
-    scenario: &Scenario,
-    name: &str,
-    scale: &str,
-    shard: ShardTag,
-    threads: usize,
-    checkpoint: Option<&Path>,
-    resume: Option<SweepReport>,
-) -> SweepReport {
-    run_sweep_shard_observed(
-        scenario, name, scale, shard, threads, checkpoint, resume, None, None,
-    )
-}
-
-/// [`run_sweep_shard`] with observability hooks and optional per-seed
-/// trace recording (see [`run_sweep_observed`]).
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweep_shard_observed(
-    scenario: &Scenario,
-    name: &str,
-    scale: &str,
-    shard: ShardTag,
-    threads: usize,
-    checkpoint: Option<&Path>,
-    resume: Option<SweepReport>,
-    obs: Option<&SweepObs<'_>>,
-    record: Option<&Path>,
-) -> SweepReport {
-    let plan = SweepReport::new_shard(name, scale, shard);
     run_sweep_plan(scenario, plan, threads, checkpoint, resume, obs, record)
 }
 
@@ -434,11 +376,7 @@ impl HeartbeatCtx {
         polls_at_start: u64,
         started: std::time::Instant,
     ) {
-        let seeds_done = shared
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .completed
-            .len() as u64;
+        let seeds_done = lock(shared).completed.len() as u64;
         let polls = obs.session.core.polls_started.get();
         let elapsed = started.elapsed().as_secs_f64();
         let hb = Heartbeat {
@@ -465,8 +403,20 @@ impl HeartbeatCtx {
     }
 }
 
+/// Runs the seeds of `plan` — a whole campaign ([`SweepReport::new`]) or
+/// one shard of it ([`SweepReport::new_shard`], whose checkpoint carries
+/// the topology tag `sweep merge` validates) — on the worker pool.
+///
+/// Seeds already present in `resume` are reused verbatim and the rest are
+/// executed across `threads` workers; the returned report is identical no
+/// matter the thread count or how the work was split across
+/// interruptions. With `checkpoint`, the partial report is persisted
+/// after every finished seed and the final report overwrites it at the
+/// end. With `obs`, workers bump the session's counters and profile into
+/// per-worker trees, and a monitor thread appends heartbeats while they
+/// run. `record` is as for [`run_sweep_observed`].
 #[allow(clippy::too_many_arguments)]
-fn run_sweep_plan(
+pub fn run_sweep_plan(
     scenario: &Scenario,
     mut plan: SweepReport,
     threads: usize,
@@ -522,9 +472,12 @@ fn run_sweep_plan(
     let shared = Mutex::new(plan);
     let done_here = AtomicUsize::new(0);
     let last_seed = AtomicU64::new(0);
-    let cursor = AtomicUsize::new(0);
     let stop_monitor = AtomicBool::new(false);
-    let threads = threads.max(1).min(todo.len().max(1));
+    if let Some(o) = obs {
+        o.session
+            .sweep_chunks
+            .add(pool_width(todo.len(), threads) as u64);
+    }
     std::thread::scope(|outer| {
         // The heartbeat monitor runs beside the workers, not among them:
         // protocol counters advance *during* a seed, so its records show
@@ -549,88 +502,57 @@ fn run_sweep_plan(
                 ctx.emit(o, shared, last_seed, polls_at_start, started);
             });
         }
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    // Profilers are single-threaded (`Rc`): each worker
-                    // grows its own tree under a `worker-chunk` root and
-                    // merges it into the shared one on the way out.
-                    let wprof = obs.and_then(|o| o.profiler.map(|_| Profiler::shared()));
-                    let ins = match obs {
-                        Some(o) => o.session.instruments(wprof.clone()),
-                        None => Instruments::default(),
+        let session = obs.map(|o| o.session);
+        let profiler = obs.and_then(|o| o.profiler);
+        pool(todo.len(), threads, session, profiler, |i, ins| {
+            let seed = todo[i];
+            let summary = match &record_ctx {
+                Some((dir, name, scale)) => {
+                    let recorder = Recorder::new(&TraceMeta {
+                        scenario: name.clone(),
+                        scale: scale.clone(),
+                        seed,
+                        run_length_ms,
+                    });
+                    let sink = Box::new(recorder.clone());
+                    let summary = run(scenario, seed, Some(sink), ins).summary();
+                    let trace = {
+                        let _span = Span::enter(&ins.profiler, "trace-seal");
+                        recorder.finish()
                     };
-                    if let Some(o) = obs {
-                        o.session.sweep_chunks.inc();
+                    let path = dir.join(format!("trace-{name}-s{seed}.bin"));
+                    // Best-effort like checkpoints: a failing disk must
+                    // not kill the sweep.
+                    if let Err(e) = trace.write_to(&path) {
+                        eprintln!("warning: trace write to {} failed: {e}", path.display());
                     }
-                    let chunk = Span::enter(&wprof, "worker-chunk");
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&seed) = todo.get(i) else {
-                            break;
-                        };
-                        let summary = match &record_ctx {
-                            Some((dir, name, scale)) => {
-                                // Recording never perturbs the run, so the
-                                // summary stays byte-identical to the
-                                // untraced path (resume invariance holds).
-                                let meta = TraceMeta {
-                                    scenario: name.clone(),
-                                    scale: scale.clone(),
-                                    seed,
-                                    run_length_ms,
-                                };
-                                let (summary, _, trace) =
-                                    run_once_recorded_observed(scenario, seed, &meta, &ins);
-                                let path = dir.join(format!("trace-{name}-s{seed}.bin"));
-                                // Best-effort like checkpoints: a failing
-                                // disk must not kill the sweep.
-                                if let Err(e) = trace.write_to(&path) {
-                                    eprintln!(
-                                        "warning: trace write to {} failed: {e}",
-                                        path.display()
-                                    );
-                                }
-                                summary
-                            }
-                            None if ins.is_off() => run_once(scenario, seed),
-                            None => run_once_observed(scenario, seed, &ins).0,
-                        };
-                        let mut plan = shared
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner());
-                        plan.record(seed, summary);
-                        last_seed.store(seed, Ordering::Relaxed);
-                        if let Some(o) = obs {
-                            o.session.sweep_seeds.inc();
-                        }
-                        let done = done_here.fetch_add(1, Ordering::Relaxed) + 1;
-                        if let Some(hook) = &crash_hook {
-                            // Test-only fault injection: dies here, holding the
-                            // lock, leaving a torn temp file — the worst-case
-                            // `kill -9` mid-checkpoint-write.
-                            hook.maybe_crash(done, checkpoint, &plan.to_json());
-                        }
-                        if let Some(path) = checkpoint {
-                            // Best-effort mid-run persistence; a failing disk must
-                            // not kill the sweep, but it must not be silent either
-                            // (the caller re-verifies the final file).
-                            if let Err(e) = write_checkpoint(path, &plan.to_json()) {
-                                eprintln!(
-                                    "warning: checkpoint write to {} failed: {e}",
-                                    path.display()
-                                );
-                            }
-                        }
-                    }
-                    drop(chunk);
-                    if let (Some(wp), Some(merged)) = (wprof, obs.and_then(|o| o.profiler)) {
-                        merged
-                            .lock()
-                            .unwrap_or_else(|poisoned| poisoned.into_inner())
-                            .absorb(&wp.borrow());
-                    }
-                });
+                    summary
+                }
+                None => run(scenario, seed, None, ins).summary(),
+            };
+            let mut plan = lock(&shared);
+            plan.record(seed, summary);
+            last_seed.store(seed, Ordering::Relaxed);
+            if let Some(o) = obs {
+                o.session.sweep_seeds.inc();
+            }
+            let done = done_here.fetch_add(1, Ordering::Relaxed) + 1;
+            if let Some(hook) = &crash_hook {
+                // Test-only fault injection: dies here, holding the
+                // lock, leaving a torn temp file — the worst-case
+                // `kill -9` mid-checkpoint-write.
+                hook.maybe_crash(done, checkpoint, &plan.to_json());
+            }
+            if let Some(path) = checkpoint {
+                // Best-effort mid-run persistence; a failing disk must not
+                // kill the sweep, but it must not be silent either (the
+                // caller re-verifies the final file).
+                if let Err(e) = write_checkpoint(path, &plan.to_json()) {
+                    eprintln!(
+                        "warning: checkpoint write to {} failed: {e}",
+                        path.display()
+                    );
+                }
             }
         });
         stop_monitor.store(true, Ordering::Relaxed);
@@ -660,6 +582,19 @@ mod tests {
         s.cfg.n_peers = 25;
         s.run_length = Duration::from_days(120);
         s
+    }
+
+    /// An unobserved, unrecorded sweep of `tiny()`.
+    fn sweep(
+        seeds: &[u64],
+        threads: usize,
+        checkpoint: Option<&Path>,
+        resume: Option<SweepReport>,
+    ) -> SweepReport {
+        let s = tiny();
+        run_sweep_observed(
+            &s, "tiny", "quick", seeds, threads, checkpoint, resume, None, None,
+        )
     }
 
     fn summary(seed: u64) -> Summary {
@@ -760,10 +695,9 @@ mod tests {
 
     #[test]
     fn sweep_is_thread_count_invariant() {
-        let s = tiny();
         let seeds = [1, 2, 3, 4];
-        let one = run_sweep(&s, "tiny", "quick", &seeds, 1, None, None);
-        let eight = run_sweep(&s, "tiny", "quick", &seeds, 8, None, None);
+        let one = sweep(&seeds, 1, None, None);
+        let eight = sweep(&seeds, 8, None, None);
         assert_eq!(
             one.to_json(),
             eight.to_json(),
@@ -773,12 +707,11 @@ mod tests {
 
     #[test]
     fn resume_equals_uninterrupted() {
-        let s = tiny();
         let seeds = [1, 2, 3];
-        let full = run_sweep(&s, "tiny", "quick", &seeds, 2, None, None);
+        let full = sweep(&seeds, 2, None, None);
         // "Interrupted": only seed 2 finished before the crash.
-        let partial = run_sweep(&s, "tiny", "quick", &[2], 1, None, None);
-        let resumed = run_sweep(&s, "tiny", "quick", &seeds, 2, None, Some(partial));
+        let partial = sweep(&[2], 1, None, None);
+        let resumed = sweep(&seeds, 2, None, Some(partial));
         assert_eq!(resumed.to_json(), full.to_json());
     }
 
@@ -786,8 +719,7 @@ mod tests {
     fn checkpoint_file_roundtrip() {
         let dir = std::env::temp_dir().join(format!("lockss-sweep-{}", std::process::id()));
         let path = dir.join("sweep-test.json");
-        let s = tiny();
-        let report = run_sweep(&s, "tiny", "quick", &[1, 2], 2, Some(&path), None);
+        let report = sweep(&[1, 2], 2, Some(&path), None);
         let loaded = load_checkpoint(&path, "tiny", "quick", None).expect("checkpoint exists");
         assert_eq!(loaded, report);
         // A mismatched scenario name is ignored.

@@ -6,7 +6,7 @@ use lockss_sim::Duration;
 
 use crate::cache;
 use crate::registry::ScenarioRegistry;
-use crate::runner::{default_threads, run_batch, MeasuredPoint};
+use crate::runner::{default_threads, run_batch_observed, MeasuredPoint};
 use crate::scale::Scale;
 use crate::scenario::{AttackSpec, Scenario};
 
@@ -53,7 +53,7 @@ pub fn baselines(scale: Scale) -> (Summary, Summary) {
         registry.build("baseline", scale).expect("registered"),
         registry.build("baseline-large", scale).expect("registered"),
     ];
-    let out = run_batch(&jobs, scale.seeds(), default_threads());
+    let out = run_batch_observed(&jobs, scale.seeds(), default_threads(), None, None);
     cache::store(
         &name,
         &[
@@ -100,7 +100,7 @@ fn attack_sweep(
                     registered_baseline(scale, n_aus).with_attack(make(cov, d))
                 })
                 .collect();
-            let summaries = run_batch(&jobs, scale.seeds(), default_threads());
+            let summaries = run_batch_observed(&jobs, scale.seeds(), default_threads(), None, None);
             let rows: Vec<(String, Summary)> = grid
                 .iter()
                 .zip(summaries)
@@ -200,7 +200,7 @@ pub fn fig2_sweep(scale: Scale) -> Vec<BaselinePoint> {
                         .with_mtbf_years(years)
                 })
                 .collect();
-            let summaries = run_batch(&jobs, scale.seeds(), default_threads());
+            let summaries = run_batch_observed(&jobs, scale.seeds(), default_threads(), None, None);
             let rows: Vec<(String, Summary)> = grid
                 .iter()
                 .zip(summaries)
@@ -261,7 +261,7 @@ pub fn table1_rows(scale: Scale) -> Vec<Table1Row> {
                         .with_attack(AttackSpec::BruteForce { defection })
                 })
                 .collect();
-            let summaries = run_batch(&jobs, scale.seeds(), default_threads());
+            let summaries = run_batch_observed(&jobs, scale.seeds(), default_threads(), None, None);
             let rows: Vec<(String, Summary)> = grid
                 .iter()
                 .zip(summaries)

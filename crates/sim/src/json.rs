@@ -188,12 +188,19 @@ pub fn get_opt<'v>(fields: &'v [(String, Value)], key: &str) -> Option<&'v Value
         .filter(|v| !v.is_null())
 }
 
+/// The deepest container nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth lets a run of `[` overflow the
+/// stack; the deepest document the workspace writes (a profile span tree)
+/// stays far below this.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses one JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected). Nesting deeper than [`MAX_DEPTH`] is an error at
+/// the offending bracket.
 pub fn parse(text: &str) -> Result<Value, Error> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err("trailing garbage", pos));
@@ -223,12 +230,17 @@ fn expect(b: &[u8], pos: &mut usize, ch: u8) -> Result<(), Error> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses the value at `pos`, which sits inside `depth` open containers.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err(err("unexpected end of document", *pos)),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(err(
+            &format!("nesting deeper than {MAX_DEPTH} levels"),
+            *pos,
+        )),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_literal(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_literal(b, pos, "false", Value::Bool(false)),
@@ -321,7 +333,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, Error> {
     Err(err("unterminated string", *pos))
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -330,7 +342,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -343,7 +355,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, Error> {
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -356,7 +368,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, Error> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let value = parse_value(b, pos)?;
+        let value = parse_value(b, pos, depth)?;
         fields.push((key, value));
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -426,6 +438,30 @@ mod tests {
         assert!(parse("{} trailing").is_err());
         assert!(parse("{").is_err());
         assert!(parse("[1, ]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        // 200,000 open brackets: an error at the first bracket past the
+        // cap, not a crash.
+        let e = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "{e}");
+        assert!(e.message.contains("nesting"), "{e}");
+        // Objects count toward the same depth.
+        let objs = "{\"a\": ".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objs).unwrap_err().message.contains("nesting"));
+    }
+
+    #[test]
+    fn nesting_exactly_at_the_cap_parses() {
+        let doc = "[".repeat(MAX_DEPTH) + "7" + &"]".repeat(MAX_DEPTH);
+        let mut v = &parse(&doc).expect("depth MAX_DEPTH is accepted");
+        for _ in 0..MAX_DEPTH {
+            v = &v.as_array("level").unwrap()[0];
+        }
+        assert_eq!(v.as_u64("leaf").unwrap(), 7);
+        let over = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert_eq!(parse(&over).unwrap_err().at, MAX_DEPTH);
     }
 
     #[test]

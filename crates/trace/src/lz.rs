@@ -27,6 +27,11 @@ const MIN_MATCH: usize = 4;
 /// Far copies address at most this far back.
 const MAX_OFFSET: usize = 65_535;
 
+/// The format's largest expansion per stored byte, rounded up: a 3-byte
+/// far copy yields 67 bytes (the ratio 22.3). A declared length beyond
+/// this many times the stream cannot be honest.
+const MAX_EXPANSION: usize = 23;
+
 /// Hash-table size (power of two) for 4-byte match candidates.
 const HASH_BITS: u32 = 14;
 
@@ -116,7 +121,12 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// Decompresses a stream produced by [`compress`] into exactly
 /// `raw_len` bytes. Any malformed op, overrun, or length mismatch is an
 /// error (reported as a plain message; the column framing attributes it).
+/// A `raw_len` the stream could not expand to is rejected before anything
+/// is allocated, so a hostile length field costs nothing.
 pub fn decompress(stream: &[u8], raw_len: usize) -> Result<Vec<u8>, &'static str> {
+    if raw_len > stream.len().saturating_mul(MAX_EXPANSION) {
+        return Err("declared length exceeds the format's expansion limit");
+    }
     let mut out: Vec<u8> = Vec::with_capacity(raw_len);
     let mut pos = 0usize;
     while pos < stream.len() {
@@ -243,6 +253,32 @@ mod tests {
         let comp = compress(b"hello world hello world");
         assert!(decompress(&comp, 5).is_err(), "overrun");
         assert!(decompress(&comp, 500).is_err(), "underrun");
+    }
+
+    #[test]
+    fn hostile_declared_length_is_an_error_not_an_allocation() {
+        // One reserved-tag byte claiming a terabyte: rejected up front.
+        let e = decompress(&[0x03], 1 << 40).unwrap_err();
+        assert!(e.contains("expansion limit"), "{e}");
+        assert!(decompress(&[], 1).is_err(), "empty stream, nonzero length");
+        assert_eq!(decompress(&[], 0).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn maximal_far_copy_run_decodes() {
+        // One literal byte, then back-to-back 67-byte far copies at offset
+        // 1: the densest expansion the format can express.
+        let copies = 1000;
+        let mut stream = vec![0x00, 7];
+        for _ in 0..copies {
+            stream.extend_from_slice(&[0x02 | (63 << 2), 1, 0]);
+        }
+        let raw_len = 1 + 67 * copies;
+        assert!(raw_len <= stream.len() * MAX_EXPANSION);
+        assert_eq!(decompress(&stream, raw_len).unwrap(), vec![7u8; raw_len]);
+        // One byte past the limit is refused before decoding starts.
+        let e = decompress(&stream, stream.len() * MAX_EXPANSION + 1).unwrap_err();
+        assert!(e.contains("expansion limit"), "{e}");
     }
 
     #[test]

@@ -11,11 +11,10 @@
 //! ```
 
 use lockss::adversary::Defection;
-use lockss::core::World;
 use lockss::effort::CostModel;
-use lockss::experiments::{Scale, ScenarioRegistry};
+use lockss::experiments::{Instruments, Scale, ScenarioRegistry};
 use lockss::metrics::Summary;
-use lockss::sim::{Duration, Engine, SimTime};
+use lockss::sim::Duration;
 
 /// Runs one of the registered `brute-force-*` scenarios (or `baseline`),
 /// shrunk to demo size, for one simulated year.
@@ -25,16 +24,8 @@ fn run(name: &str, seed: u64) -> Summary {
         .unwrap_or_else(|| panic!("'{name}' is registered"));
     s.cfg.n_peers = 50;
     s.cfg.n_aus = 6;
-    s.cfg.seed = seed;
-    let mut world = World::new(s.cfg.clone());
-    if let Some(adv) = s.attack.build() {
-        world.install_adversary(adv);
-    }
-    let mut eng = Engine::new();
-    world.start(&mut eng);
-    let end = SimTime::ZERO + Duration::YEAR;
-    eng.run_until(&mut world, end);
-    world.metrics.summarize(end)
+    s.run_length = Duration::YEAR;
+    lockss::experiments::run(&s, seed, None, &Instruments::default()).summary()
 }
 
 fn main() {

@@ -17,8 +17,7 @@
 //! cargo run --release --example composite_campaign
 //! ```
 
-use lockss::experiments::runner::run_once_with_phases;
-use lockss::experiments::{Scale, ScenarioRegistry};
+use lockss::experiments::{run, run_once, Instruments, Scale, ScenarioRegistry};
 
 fn main() {
     let registry = ScenarioRegistry::standard();
@@ -35,8 +34,9 @@ fn main() {
         scenario.attack.label()
     );
 
-    let (summary, phases) = run_once_with_phases(&scenario, 1);
-    let (base, _) = run_once_with_phases(&scenario.matched_baseline(), 1);
+    let done = run(&scenario, 1, None, &Instruments::default());
+    let (summary, phases) = (done.summary(), done.phases());
+    let base = run_once(&scenario.matched_baseline(), 1);
 
     println!("whole run ({}):", scenario.run_length);
     println!(

@@ -9,10 +9,8 @@
 //! cargo run --release --example pipe_stoppage_attack
 //! ```
 
-use lockss::core::World;
-use lockss::experiments::{AttackSpec, Scale, Scenario, ScenarioRegistry};
+use lockss::experiments::{AttackSpec, Instruments, Scale, Scenario, ScenarioRegistry};
 use lockss::metrics::Summary;
-use lockss::sim::{Engine, SimTime};
 
 /// The registered `pipe-stoppage` scenario, shrunk to demo size.
 fn scenario() -> Scenario {
@@ -21,21 +19,13 @@ fn scenario() -> Scenario {
         .expect("'pipe-stoppage' is registered");
     s.cfg.n_peers = 60;
     s.cfg.n_aus = 8;
-    s.cfg.seed = 1;
     s
 }
 
+/// Runs seed 1; returns the summary and the replicas damaged at the end.
 fn run(s: &Scenario) -> (Summary, usize) {
-    let mut world = World::new(s.cfg.clone());
-    if let Some(a) = s.attack.build() {
-        world.install_adversary(a);
-    }
-    let mut eng = Engine::new();
-    world.start(&mut eng);
-    let end = SimTime::ZERO + s.run_length;
-    eng.run_until(&mut world, end);
-    let damaged: usize = world.peers.total_damaged();
-    (world.metrics.summarize(end), damaged)
+    let done = lockss::experiments::run(s, 1, None, &Instruments::default());
+    (done.summary(), done.world.peers.total_damaged())
 }
 
 fn main() {

@@ -1,5 +1,5 @@
 //! Determinism regression tests: a run is a pure function of its
-//! configuration and seed, and `run_batch`'s parallelism must not leak
+//! configuration and seed, and the worker pool's parallelism must not leak
 //! into the results (floating-point reductions are order-sensitive, so
 //! the runner slots results by seed, not by completion order).
 //!
@@ -8,12 +8,12 @@
 //! byte-identical results, not epsilon closeness.
 
 use lockss::core::{World, WorldConfig};
-use lockss::experiments::runner::{run_batch, run_once, run_once_recorded};
+use lockss::experiments::runner::{run, run_batch_observed, run_once, Instruments};
 use lockss::experiments::scenario::{AttackSpec, Scenario};
-use lockss::experiments::sweep::{load_checkpoint, run_sweep};
+use lockss::experiments::sweep::{load_checkpoint, run_sweep_observed};
 use lockss::experiments::{Scale, ScenarioRegistry};
 use lockss::sim::{Duration, Engine, SimTime};
-use lockss::trace::TraceMeta;
+use lockss::trace::{Recorder, TraceMeta};
 
 fn quick(attack: AttackSpec) -> Scenario {
     let mut s = Scenario::attacked(Scale::Quick, 2, attack);
@@ -87,8 +87,8 @@ fn every_registered_scenario_is_thread_count_invariant() {
         .into_iter()
         .map(|(_, s)| s)
         .collect();
-    let single = run_batch(&jobs, 2, 1);
-    let parallel = run_batch(&jobs, 2, 4);
+    let single = run_batch_observed(&jobs, 2, 1, None, None);
+    let parallel = run_batch_observed(&jobs, 2, 4, None, None);
     for (i, (name, _)) in shrunken_registry_jobs().iter().enumerate() {
         assert_eq!(
             single[i], parallel[i],
@@ -99,14 +99,15 @@ fn every_registered_scenario_is_thread_count_invariant() {
 
 /// Records one shrunken scenario and returns the trace's content hash.
 fn record_hash(name: &str, scenario: &Scenario, seed: u64) -> String {
-    let meta = TraceMeta {
+    let recorder = Recorder::new(&TraceMeta {
         scenario: name.to_string(),
         scale: "quick".to_string(),
         seed,
         run_length_ms: scenario.run_length.as_millis(),
-    };
-    let (_, _, trace) = run_once_recorded(scenario, seed, &meta);
-    trace.content_hash()
+    });
+    let sink = Box::new(recorder.clone());
+    run(scenario, seed, Some(sink), &Instruments::default());
+    recorder.finish().content_hash()
 }
 
 /// Golden-trace regression: for pinned `(scenario, seed)` pairs the trace
@@ -177,8 +178,28 @@ fn shrunken_scale_scenario() -> Scenario {
 fn sweep_report_is_thread_count_invariant() {
     let s = shrunken_scale_scenario();
     let seeds = [1, 2, 3, 4];
-    let one = run_sweep(&s, "scale-10k-baseline", "quick", &seeds, 1, None, None);
-    let eight = run_sweep(&s, "scale-10k-baseline", "quick", &seeds, 8, None, None);
+    let one = run_sweep_observed(
+        &s,
+        "scale-10k-baseline",
+        "quick",
+        &seeds,
+        1,
+        None,
+        None,
+        None,
+        None,
+    );
+    let eight = run_sweep_observed(
+        &s,
+        "scale-10k-baseline",
+        "quick",
+        &seeds,
+        8,
+        None,
+        None,
+        None,
+        None,
+    );
     assert_eq!(
         one.to_json(),
         eight.to_json(),
@@ -200,7 +221,7 @@ fn sweep_checkpoint_resume_equals_uninterrupted() {
     let uninterrupted = dir.join("uninterrupted.json");
     let interrupted = dir.join("interrupted.json");
 
-    let full = run_sweep(
+    let full = run_sweep_observed(
         &s,
         "scale-10k-baseline",
         "quick",
@@ -208,10 +229,12 @@ fn sweep_checkpoint_resume_equals_uninterrupted() {
         2,
         Some(&uninterrupted),
         None,
+        None,
+        None,
     );
 
     // "Crash" after two seeds: the partial checkpoint is what survives.
-    let _ = run_sweep(
+    let _ = run_sweep_observed(
         &s,
         "scale-10k-baseline",
         "quick",
@@ -219,11 +242,13 @@ fn sweep_checkpoint_resume_equals_uninterrupted() {
         2,
         Some(&interrupted),
         None,
+        None,
+        None,
     );
     let prior = load_checkpoint(&interrupted, "scale-10k-baseline", "quick", None)
         .expect("checkpoint loads");
     assert_eq!(prior.completed.len(), 2);
-    let resumed = run_sweep(
+    let resumed = run_sweep_observed(
         &s,
         "scale-10k-baseline",
         "quick",
@@ -231,6 +256,8 @@ fn sweep_checkpoint_resume_equals_uninterrupted() {
         2,
         Some(&interrupted),
         Some(prior),
+        None,
+        None,
     );
 
     assert_eq!(
@@ -252,10 +279,10 @@ fn run_batch_is_thread_count_invariant() {
             days: 120,
         }),
     ];
-    let single = run_batch(&jobs, 3, 1);
-    let parallel = run_batch(&jobs, 3, 4);
+    let single = run_batch_observed(&jobs, 3, 1, None, None);
+    let parallel = run_batch_observed(&jobs, 3, 4, None, None);
     assert_eq!(single, parallel);
     // And the batch path agrees with the sequential per-seed path.
-    let repeat = run_batch(&jobs, 3, 4);
+    let repeat = run_batch_observed(&jobs, 3, 4, None, None);
     assert_eq!(parallel, repeat);
 }

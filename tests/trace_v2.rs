@@ -11,7 +11,7 @@
 
 use lockss::core::trace::{AdmissionVerdict, MsgKind, PollConclusion, TraceEvent, TraceSink};
 use lockss::crypto::sha256;
-use lockss::experiments::runner::run_once_recorded;
+use lockss::experiments::runner::{run, Instruments};
 use lockss::experiments::scenario::Scenario;
 use lockss::experiments::{Scale, ScenarioRegistry};
 use lockss::sim::{Duration, SimTime};
@@ -287,13 +287,19 @@ fn scenario_trace(name: &str, seed: u64) -> Trace {
     s.cfg.n_peers = 30;
     s.cfg.n_aus = 2;
     s.run_length = Duration::from_days(150);
-    let meta = TraceMeta {
+    let recorder = Recorder::new(&TraceMeta {
         scenario: name.to_string(),
         scale: "quick".to_string(),
         seed,
         run_length_ms: s.run_length.as_millis(),
-    };
-    run_once_recorded(&s, seed, &meta).2
+    });
+    run(
+        &s,
+        seed,
+        Some(Box::new(recorder.clone())),
+        &Instruments::default(),
+    );
+    recorder.finish()
 }
 
 #[test]
